@@ -34,18 +34,19 @@ object EvaporateDirect {
 
     val tokens = extracted.agg(sum(col("out.tokens"))).collect()(0).getLong(0)
 
-    val normAttr = udf((s: String) => Naming.normalize(s))
     val tuples = extracted
       .select(col("doc_id"), explode(col("out.pairs")) as "p")
-      .select(col("doc_id"), normAttr(col("p.attr")) as "attr", trim(col("p.value")) as "value")
+      .select(col("doc_id"), Naming.normalizeCol(col("p.attr")) as "attr",
+        trim(col("p.value")) as "value")
       .where(col("value") =!= "")
 
     // Rank attributes by how many documents mention them (§3.1: prioritize
-    // head attributes) and keep the top-k for the reported table.
+    // head attributes) and keep the top-k for the reported table. There is
+    // one count per attribute name, so they are collected and sorted here.
     val ranked = tuples.groupBy("attr")
       .agg(countDistinct(col("doc_id")) as "freq")
-      .orderBy(desc("freq"), asc("attr"))
-      .collect().map(_.getString(0)).toSeq
+      .collect().map(r => (r.getString(0), r.getLong(1)))
+      .sortBy { case (attr, freq) => (-freq, attr) }.map(_._1).toSeq
 
     val top   = ranked.take(k)
     val table = tuples.where(col("attr").isin(top: _*)).cache()
@@ -74,10 +75,10 @@ object EvaporateDirect {
       .cache()
     val tokens = extracted.agg(sum(col("out.tokens"))).collect()(0).getLong(0)
 
-    val normAttr = udf((s: String) => Naming.normalize(s))
     val table = extracted
       .select(col("doc_id"), explode(col("out.pairs")) as "p")
-      .select(col("doc_id"), normAttr(col("p.attr")) as "attr", trim(col("p.value")) as "value")
+      .select(col("doc_id"), Naming.normalizeCol(col("p.attr")) as "attr",
+        trim(col("p.value")) as "value")
       .where(col("value") =!= "")
       .cache()
     table.count()

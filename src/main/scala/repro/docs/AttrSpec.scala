@@ -1,5 +1,7 @@
 package repro.docs
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{lower, regexp_replace, trim}
 import repro.util.Rng
 
 /** Specification of one attribute of a data-lake setting.
@@ -69,4 +71,8 @@ final case class Setting(
 object Naming {
   def normalize(s: String): String =
     s.toLowerCase.replaceAll("[^a-z0-9]+", " ").trim
+
+  /** [[normalize]] as a Catalyst expression over a string column; null stays null. */
+  def normalizeCol(c: Column): Column =
+    trim(regexp_replace(lower(c), "[^a-z0-9]+", " "))
 }

@@ -61,33 +61,35 @@ object Metrics {
   /** Pair F1 between predicted and gold tuple DataFrames, both with columns
     * (doc_id, attr, value). Attribute names are compared after
     * normalization, values after trimming — exact matches only, no partial
-    * credit (Appendix A).
+    * credit (Appendix A). Runs as one aggregation (one Spark action, nothing
+    * cached) over both sides tagged and unioned; a tuple with a null doc_id or
+    * attr counts toward its side but never matches, as under an equi-join.
     */
   def pairF1(pred: DataFrame, gold: DataFrame): Prf = {
-    val normAttr = udf((s: String) => Naming.normalize(s))
     // Internal whitespace is canonicalized on both sides: multi-line values
     // (e.g. RFC-822 continuation headers) are otherwise unmatchable even
     // when every token is extracted correctly.
-    def canon(df: DataFrame): DataFrame =
-      df.select(col("doc_id"), normAttr(col("attr")) as "attr",
-          trim(regexp_replace(col("value"), "\\s+", " ")) as "value")
-        .where(col("value") =!= "").distinct()
-    val p = canon(pred).cache()
-    val g = canon(gold).cache()
-    val nMatch = p.join(g, Seq("doc_id", "attr", "value")).count()
-    val out    = prf(nMatch, p.count(), g.count())
-    p.unpersist(); g.unpersist()
-    out
+    def canon(df: DataFrame, isPred: Int): DataFrame =
+      df.select(col("doc_id"), Naming.normalizeCol(col("attr")) as "attr",
+          trim(regexp_replace(col("value"), "\\s+", " ")) as "value",
+          lit(isPred) as "p", lit(1 - isPred) as "g")
+        .where(col("value") =!= "")
+    val tuples = canon(pred, 1).unionByName(canon(gold, 0))
+      .groupBy("doc_id", "attr", "value")
+      .agg(max("p") as "p", max("g") as "g")
+    val matched = when(col("doc_id").isNotNull && col("attr").isNotNull, col("p") * col("g"))
+    val row = tuples.agg(sum(matched), sum("p"), sum("g")).collect()(0)
+    def n(i: Int): Long = if (row.isNullAt(i)) 0L else row.getLong(i)
+    prf(n(0), n(1), n(2))
   }
 
   /** ClosedIE Text F1: average token F1 over every (doc, gold attribute)
     * slot where either side has content, value by value (Appendix A).
     */
   def closedTextF1(spark: SparkSession, pred: DataFrame, gold: DataFrame): Double = {
-    val normAttr = udf((s: String) => Naming.normalize(s))
-    val p = pred.select(col("doc_id"), normAttr(col("attr")) as "attr", col("value") as "pv")
-      .where(col("pv") =!= "")
-    val g = gold.select(col("doc_id"), normAttr(col("attr")) as "attr", col("value") as "gv")
+    val attr = Naming.normalizeCol(col("attr")) as "attr"
+    val p = pred.select(col("doc_id"), attr, col("value") as "pv").where(col("pv") =!= "")
+    val g = gold.select(col("doc_id"), attr, col("value") as "gv")
     val f1Udf  = udf((pv: String, gv: String) => textF1(pv, gv))
     val joined = g.join(p, Seq("doc_id", "attr"), "full_outer")
       .select(f1Udf(coalesce(col("pv"), lit("")), coalesce(col("gv"), lit(""))) as "f1")

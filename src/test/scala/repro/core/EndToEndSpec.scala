@@ -1,8 +1,10 @@
 package repro.core
 
+import scala.collection.mutable
 import repro.SparkSpec
 import repro.docs.Corpora
 import repro.eval.Harness
+import repro.eval.Harness.OpenRun
 import repro.llm.Profile
 import repro.ws.Aggregation
 
@@ -14,14 +16,19 @@ class EndToEndSpec extends SparkSpec {
 
   private val seed = 42L
 
-  private def systems(setting: repro.docs.Setting, n: Int = 40) = {
-    val (docs, gold) = Harness.lake(spark, setting, n, seed)
-    val direct = Harness.directOpen(spark, setting, docs, gold, Profile.davinci, seed)
-    val code = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed,
-      CodeConfig(singleFunction = true))
-    val plus = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed)
-    (direct, code, plus)
-  }
+  // Direct, Code and Code+ on a 40-document lake, computed once per setting
+  // and shared by every test that asserts on them.
+  private val systemsBySetting = mutable.Map.empty[String, (OpenRun, OpenRun, OpenRun)]
+
+  private def systems(setting: repro.docs.Setting) =
+    systemsBySetting.getOrElseUpdate(setting.name, {
+      val (docs, gold) = Harness.lake(spark, setting, 40, seed)
+      val direct = Harness.directOpen(spark, setting, docs, gold, Profile.davinci, seed)
+      val code = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed,
+        CodeConfig(singleFunction = true))
+      val plus = Harness.codeOpen(spark, setting, docs, gold, Profile.davinci, seed)
+      (direct, code, plus)
+    })
 
   for (setting <- Seq(Corpora.fda, Corpora.nba, Corpora.movieSites.head, Corpora.uniSites.head)) {
     test(s"${setting.name}: Code < Direct and Code < Code+ (the cost-quality tradeoff)") {

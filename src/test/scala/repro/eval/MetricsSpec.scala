@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -90,18 +89,30 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("oracle: pair-match counting agrees with DuckDB") {
-    val gold = df(Seq(("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "z"), ("d2", "c", "w")))
-    val pred = df(Seq(("d1", "a", "x"), ("d1", "b", "n"), ("d2", "a", "z"), ("d4", "a", "x")))
-    val matches = pred.distinct().join(gold.distinct(), Seq("doc_id", "attr", "value"))
-      .agg(count(lit(1)) as "matches")
-    Oracle.assertEquivalent(
-      matches,
-      """SELECT COUNT(*) AS matches FROM (
-        |  SELECT DISTINCT p.doc_id, p.attr, p.value
-        |  FROM pred p JOIN gold g
-        |    ON p.doc_id = g.doc_id AND p.attr = g.attr AND p.value = g.value
-        |)""".stripMargin,
+    // Duplicates, whitespace and attribute-spelling variants, empty values,
+    // and null keys on both sides (counted per side, never matched).
+    val gold = df(Seq(
+      ("d1", "510(k) Number", "K1\n\t2"), ("d1", "510 k number", "K1 2"),
+      ("d1", "Applicant", "  Acme  Corp "), ("d2", "applicant", "Beta"), ("d2", "date", ""),
+      ("d3", "date", "June 29"), (null, "date", "x"), ("d4", null, "y")))
+    val pred = df(Seq(
+      ("d1", "510_K-NUMBER", "K1 2"), ("d1", "510 k number", "K1 2"),
+      ("d1", "applicant", "Acme Corp"), ("d2", "Applicant!", "Beta Inc"), ("d2", "date", "  "),
+      ("d3", "Date", "June  29"), ("d3", "date", "June 29"), (null, "date", "x"), ("d4", null, "y")))
+    val canon =
+      """SELECT DISTINCT doc_id, trim(regexp_replace(lower(attr), '[^a-z0-9]+', ' ', 'g')) AS attr,
+        |       trim(regexp_replace(value, '\s+', ' ', 'g')) AS value""".stripMargin
+    val (_, Seq(row)) = Oracle.query(
+      s"""WITH p AS (SELECT * FROM ($canon FROM pred) WHERE value <> ''),
+         |     g AS (SELECT * FROM ($canon FROM gold) WHERE value <> '')
+         |SELECT (SELECT count(*) FROM p JOIN g USING (doc_id, attr, value)) AS n_match,
+         |       (SELECT count(*) FROM p) AS n_pred, (SELECT count(*) FROM g) AS n_gold""".stripMargin,
       "pred" -> pred, "gold" -> gold)
+    val Seq(m, np, ng) = (0 to 2).map(i => row.get(i).asInstanceOf[Number].longValue)
+    assert((m, np, ng) == ((3L, 6L, 6L)))
+    val r = pairF1(pred, gold)
+    assert(r.precision == m.toDouble / np)
+    assert(r.recall == m.toDouble / ng)
   }
 
   // -------------------------------------------------------------- ClosedIE
